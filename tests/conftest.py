@@ -1,4 +1,8 @@
+from pathlib import Path
+
 import pytest
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -34,3 +38,14 @@ def sf_tiny():
 @pytest.fixture(scope="session")
 def sf_small():
     return SF_SMALL
+
+
+@pytest.fixture(scope="session")
+def reference_test_script():
+    """Text of the reference's `test_script` (`-alpha 0.95` power, then
+    `-alpha 0.95 -alg arnoldi`; SURVEY.md §0, §5). A reference checkout next
+    to the repo is read verbatim when present; otherwise the vendored copy
+    in tests/data holds its two documented option lines."""
+    checkout = REPO_ROOT.parent / "reference" / "test_script"
+    vendored = REPO_ROOT / "tests" / "data" / "reference_test_script"
+    return (checkout if checkout.is_file() else vendored).read_text()

@@ -4,6 +4,8 @@ roundtrips across parameter settings, and PageRank on a decoded graph vs
 the numpy oracle via the CLI script mode (the reference test_script
 semantics end-to-end)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -137,7 +139,7 @@ def test_encode_decode_roundtrip(tmp_path, window, minint, zk):
         np.testing.assert_array_equal(got[x], succ[x], err_msg=f"node {x}")
 
 
-def test_bvgraph_cli_reference_test_script(tmp_path):
+def test_bvgraph_cli_reference_test_script(tmp_path, reference_test_script):
     """The reference's own workflow: `ppagerank -m <graph> -script <
     test_script` (α=0.95 power + arnoldi on ONE loaded graph). PageRank on
     the decoded matrix must match the numpy oracle."""
@@ -151,13 +153,12 @@ def test_bvgraph_cli_reference_test_script(tmp_path):
     succ = _random_successors(rng, 80)
     base = str(tmp_path / "cli_graph")
     encode_bvgraph(succ, base)
-    with open("/root/reference/test_script") as f:
-        script = f.read()
     out = subprocess.run(
         [sys.executable, "-m", "ppagerank_ray",
          "--matrix", base, "--mhint", "bvgraph",
          "--script", "--out", str(tmp_path / "runs"), "--num-cpus", "4"],
-        input=script, capture_output=True, text=True, cwd="/root/repo",
+        input=reference_test_script, capture_output=True, text=True,
+        cwd=Path(__file__).resolve().parents[1],
         timeout=300,
     )
     assert out.returncode == 0, out.stderr[-2000:]

@@ -4,6 +4,9 @@ ppagerank_main analogue, including -script mode."""
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(args, stdin=None):
@@ -12,7 +15,7 @@ def _run(args, stdin=None):
         input=stdin,
         capture_output=True,
         text=True,
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
         timeout=300,
     )
     assert out.returncode == 0, out.stderr[-2000:]
@@ -47,16 +50,16 @@ def test_cli_script_mode_tolerates_unknown_alg(tmp_path):
     assert s["runs"][1] == {"run": 1, "error": "unknown alg"}
 
 
-def test_cli_script_reference_syntax_verbatim(tmp_path):
+def test_cli_script_reference_syntax_verbatim(tmp_path, reference_test_script):
     """The reference's own test_script (option-line syntax: `-alpha 0.95` /
-    `-alpha 0.95 -alg arnoldi`, /root/reference/test_script:1-2) must run
-    unmodified: two runs sharing one loaded+normalized graph."""
-    with open("/root/reference/test_script") as f:
-        content = f.read()
+    `-alpha 0.95 -alg arnoldi`, test_script:1-2 per SURVEY.md §0 and §5),
+    served by the `reference_test_script` fixture from the vendored
+    tests/data/reference_test_script, must run unmodified: two runs sharing
+    one loaded+normalized graph."""
     s = _run(
         ["--sf", "/root/testdata/sf0.001", "--script",
          "--out", str(tmp_path / "runs"), "--num-cpus", "4"],
-        stdin=content,
+        stdin=reference_test_script,
     )
     runs = s["runs"]
     assert [r["alg"] for r in runs] == ["power", "arnoldi"]
@@ -163,7 +166,7 @@ def test_cli_trans_requires_matrix(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "ppagerank_ray", "--sf",
          "/root/testdata/sf0.001", "--trans", "--out", str(tmp_path / "x")],
-        capture_output=True, text=True, cwd="/root/repo", timeout=60,
+        capture_output=True, text=True, cwd=REPO_ROOT, timeout=60,
     )
     assert out.returncode == 2
     assert "requires --matrix" in out.stderr
