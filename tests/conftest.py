@@ -41,11 +41,15 @@ def sf_small():
 
 
 @pytest.fixture(scope="session")
+def repo_root():
+    """Repository root; CLI subprocesses run from here so that
+    `python -m ppagerank_ray` imports this checkout's package."""
+    return REPO_ROOT
+
+
+@pytest.fixture(scope="session")
 def reference_test_script():
-    """Text of the reference's `test_script` (`-alpha 0.95` power, then
-    `-alpha 0.95 -alg arnoldi`; SURVEY.md §0, §5). A reference checkout next
-    to the repo is read verbatim when present; otherwise the vendored copy
-    in tests/data holds its two documented option lines."""
-    checkout = REPO_ROOT.parent / "reference" / "test_script"
-    vendored = REPO_ROOT / "tests" / "data" / "reference_test_script"
-    return (checkout if checkout.is_file() else vendored).read_text()
+    """Text of tests/data/reference_test_script: the reference
+    `test_script`'s two documented option lines, `-alpha 0.95` (power) and
+    `-alpha 0.95 -alg arnoldi` (SURVEY.md §0, §5; BASELINE.md)."""
+    return (REPO_ROOT / "tests" / "data" / "reference_test_script").read_text()

@@ -4,8 +4,6 @@ roundtrips across parameter settings, and PageRank on a decoded graph vs
 the numpy oracle via the CLI script mode (the reference test_script
 semantics end-to-end)."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -139,7 +137,8 @@ def test_encode_decode_roundtrip(tmp_path, window, minint, zk):
         np.testing.assert_array_equal(got[x], succ[x], err_msg=f"node {x}")
 
 
-def test_bvgraph_cli_reference_test_script(tmp_path, reference_test_script):
+def test_bvgraph_cli_reference_test_script(tmp_path, repo_root,
+                                           reference_test_script):
     """The reference's own workflow: `ppagerank -m <graph> -script <
     test_script` (α=0.95 power + arnoldi on ONE loaded graph). PageRank on
     the decoded matrix must match the numpy oracle."""
@@ -158,8 +157,7 @@ def test_bvgraph_cli_reference_test_script(tmp_path, reference_test_script):
          "--matrix", base, "--mhint", "bvgraph",
          "--script", "--out", str(tmp_path / "runs"), "--num-cpus", "4"],
         input=reference_test_script, capture_output=True, text=True,
-        cwd=Path(__file__).resolve().parents[1],
-        timeout=300,
+        cwd=repo_root, timeout=300,
     )
     assert out.returncode == 0, out.stderr[-2000:]
     s = json.loads(out.stdout.strip().splitlines()[-1])

@@ -4,26 +4,24 @@ ppagerank_main analogue, including -script mode."""
 import json
 import subprocess
 import sys
-from pathlib import Path
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(args, stdin=None):
+def _run(cwd, args, stdin=None):
     out = subprocess.run(
         [sys.executable, "-m", "ppagerank_ray", *args],
         input=stdin,
         capture_output=True,
         text=True,
-        cwd=REPO_ROOT,
+        cwd=cwd,
         timeout=300,
     )
     assert out.returncode == 0, out.stderr[-2000:]
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def test_cli_pagerank(tmp_path):
+def test_cli_pagerank(tmp_path, repo_root):
     s = _run(
+        repo_root,
         [
             "--sf", "/root/testdata/sf0.001",
             "--out", str(tmp_path / "scores"),
@@ -40,8 +38,9 @@ def test_cli_pagerank(tmp_path):
     assert n == 505 and abs(total - 1.0) < 1e-9
 
 
-def test_cli_script_mode_tolerates_unknown_alg(tmp_path):
+def test_cli_script_mode_tolerates_unknown_alg(tmp_path, repo_root):
     s = _run(
+        repo_root,
         ["--sf", "/root/testdata/sf0.001", "--script",
          "--out", str(tmp_path / "runs"), "--num-cpus", "4"],
         stdin='{"alg":"power","alpha":0.95}\n{"alg":"nope"}\n',
@@ -50,13 +49,15 @@ def test_cli_script_mode_tolerates_unknown_alg(tmp_path):
     assert s["runs"][1] == {"run": 1, "error": "unknown alg"}
 
 
-def test_cli_script_reference_syntax_verbatim(tmp_path, reference_test_script):
+def test_cli_script_reference_syntax_verbatim(tmp_path, repo_root,
+                                              reference_test_script):
     """The reference's own test_script (option-line syntax: `-alpha 0.95` /
     `-alpha 0.95 -alg arnoldi`, test_script:1-2 per SURVEY.md §0 and §5),
     served by the `reference_test_script` fixture from the vendored
     tests/data/reference_test_script, must run unmodified: two runs sharing
     one loaded+normalized graph."""
     s = _run(
+        repo_root,
         ["--sf", "/root/testdata/sf0.001", "--script",
          "--out", str(tmp_path / "runs"), "--num-cpus", "4"],
         stdin=reference_test_script,
@@ -79,11 +80,12 @@ def test_parse_spec_line_negative_values():
     assert spec["trans"] is True
 
 
-def test_cli_graph_algos(tmp_path):
+def test_cli_graph_algos(tmp_path, repo_root):
     """kcore / bfs / scc partitioned writes + hosts table (round-3 algos)."""
     import duckdb
 
     s = _run(
+        repo_root,
         ["--sf", "/root/testdata/sf0.001", "--algo", "kcore",
          "--out", str(tmp_path / "kc"), "--num-cpus", "4"]
     )
@@ -94,6 +96,7 @@ def test_cli_graph_algos(tmp_path):
     assert n == 505 and mx >= 1
 
     s = _run(
+        repo_root,
         ["--sf", "/root/testdata/sf0.001", "--algo", "bfs", "--seed", "0",
          "--out", str(tmp_path / "bf"), "--num-cpus", "4"]
     )
@@ -107,6 +110,7 @@ def test_cli_graph_algos(tmp_path):
     assert seed_d == 0
 
     s = _run(
+        repo_root,
         ["--sf", "/root/testdata/sf0.001", "--algo", "scc",
          "--out", str(tmp_path / "sc"), "--num-cpus", "4"]
     )
@@ -117,6 +121,7 @@ def test_cli_graph_algos(tmp_path):
     assert n == 505
 
     s = _run(
+        repo_root,
         ["--sf", "/root/testdata/sf0.001", "--algo", "hosts",
          "--out", str(tmp_path / "ho"), "--num-cpus", "4"]
     )
@@ -127,7 +132,7 @@ def test_cli_graph_algos(tmp_path):
     assert ("pages.example",) in hosts
 
 
-def test_cli_trans_matches_untransposed(tmp_path):
+def test_cli_trans_matches_untransposed(tmp_path, repo_root):
     """A3 -trans (ppagerank.cc:177-231): running --trans on the TRANSPOSED
     weighted matrix file (storage M = A^T, column-normalized, y = M*x) must
     reproduce the plain run on the original file to fp round-off."""
@@ -146,9 +151,11 @@ def test_cli_trans_matches_untransposed(tmp_path):
     write_bsmat(str(tmp_path / "a.bsmat"), src, dst, w, V, V)
     write_bsmat(str(tmp_path / "at.bsmat"), dst, src, w, V, V)
 
-    _run(["--matrix", str(tmp_path / "a.bsmat"), "--tol", "1e-10",
+    _run(repo_root,
+         ["--matrix", str(tmp_path / "a.bsmat"), "--tol", "1e-10",
           "--out", str(tmp_path / "oa"), "--num-cpus", "4"])
-    _run(["--matrix", str(tmp_path / "at.bsmat"), "--trans", "--tol", "1e-10",
+    _run(repo_root,
+         ["--matrix", str(tmp_path / "at.bsmat"), "--trans", "--tol", "1e-10",
           "--out", str(tmp_path / "ot"), "--num-cpus", "4"])
 
     a = duckdb.sql(
@@ -160,24 +167,25 @@ def test_cli_trans_matches_untransposed(tmp_path):
     assert len(a) == V and np.allclose(a, t, atol=1e-9)
 
 
-def test_cli_trans_requires_matrix(tmp_path):
+def test_cli_trans_requires_matrix(tmp_path, repo_root):
     """--trans declares the FILE's storage orientation; a pages build has
     none, so the combination is rejected loudly."""
     out = subprocess.run(
         [sys.executable, "-m", "ppagerank_ray", "--sf",
          "/root/testdata/sf0.001", "--trans", "--out", str(tmp_path / "x")],
-        capture_output=True, text=True, cwd=REPO_ROOT, timeout=60,
+        capture_output=True, text=True, cwd=repo_root, timeout=60,
     )
     assert out.returncode == 2
     assert "requires --matrix" in out.stderr
 
 
-def test_cli_walks(tmp_path):
+def test_cli_walks(tmp_path, repo_root):
     """--algo walks: uniform corpus parquet at p=q=1; node2vec when
     biased. Row counts and determinism asserted against the library."""
     import duckdb
 
     s = _run(
+        repo_root,
         ["--sf", "/root/testdata/sf0.001", "--algo", "walks",
          "--walk-length", "4", "--out", str(tmp_path / "w"),
          "--num-cpus", "4"]
@@ -190,6 +198,7 @@ def test_cli_walks(tmp_path):
     assert starts == 505 and n == s["n_corpus_rows"] and n >= 505
 
     s2 = _run(
+        repo_root,
         ["--sf", "/root/testdata/sf0.001", "--algo", "walks",
          "--walk-length", "4", "--p", "0.5", "--q", "2.0",
          "--out", str(tmp_path / "w2"), "--num-cpus", "4"]
@@ -197,12 +206,13 @@ def test_cli_walks(tmp_path):
     assert s2["n_corpus_rows"] >= 505  # node2vec path produced a corpus
 
 
-def test_cli_pprsweep(tmp_path):
+def test_cli_pprsweep(tmp_path, repo_root):
     """Local-PPR push + ACL sweep (round 5): sweep table written, best
     conductance consistent with its own integer columns."""
     import duckdb
 
     s = _run(
+        repo_root,
         ["--sf", "/root/testdata/sf0.001", "--algo", "pprsweep",
          "--out", str(tmp_path / "pw"), "--num-cpus", "4"]
     )
